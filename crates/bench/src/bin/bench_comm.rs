@@ -1,13 +1,13 @@
 //! Transport microbenchmark emitting `BENCH_comm.json`.
 //!
 //! Times the all-to-all engines across the message-size bins the
-//! adaptive selector switches on, plus the point-to-point eager,
-//! rendezvous, and zero-copy ownership-transfer protocols, on real
-//! thread-ranks. Each row records the
+//! adaptive selector switches on, plus point-to-point borrowed
+//! (`p2p_rendezvous`, one copy) and zero-copy ownership-transfer sends,
+//! on real thread-ranks. Each row records the
 //! operation, algorithm, transport backend, size bin (shared
 //! [`sizebins`] labels), ns per operation, and transport bytes *copied*
 //! per operation (from the trace's copy accounting — the number the
-//! rendezvous path exists to cut).
+//! owned path exists to cut).
 //!
 //! The full algorithm sweep runs on the thread backend (the regression
 //! target); a smaller sweep then repeats representative cases on the
@@ -104,20 +104,11 @@ fn bench_alltoall(
     )
 }
 
-/// One ping-pong trial: `reps` exchanges of a `bytes`-sized isend/irecv
-/// pair under an explicit eager limit (0 forces rendezvous on every
-/// send). `profiled` arms span recording + causal flow contexts.
-fn p2p_trial(
-    bytes: usize,
-    eager_limit: usize,
-    reps: usize,
-    kind: TransportKind,
-    profiled: bool,
-) -> (f64, f64) {
-    let builder = World::builder(2)
-        .transport(kind)
-        .recv_timeout(TIMEOUT)
-        .eager_limit(eager_limit);
+/// One ping-pong trial: `reps` exchanges of a `bytes`-sized borrowed
+/// isend/irecv pair (one copy per message). `profiled` arms span
+/// recording + causal flow contexts.
+fn p2p_trial(bytes: usize, reps: usize, kind: TransportKind, profiled: bool) -> (f64, f64) {
+    let builder = World::builder(2).transport(kind).recv_timeout(TIMEOUT);
     let body = move |c: beatnik_comm::Communicator| {
         let buf = vec![0u8; bytes];
         c.barrier();
@@ -149,11 +140,11 @@ fn p2p_trial(
 }
 
 /// Best-of-[`TRIALS`] untraced ping-pong (see [`p2p_trial`]).
-fn bench_p2p(bytes: usize, eager_limit: usize, reps: usize, kind: TransportKind) -> (f64, f64) {
+fn bench_p2p(bytes: usize, reps: usize, kind: TransportKind) -> (f64, f64) {
     let mut best_ns = f64::INFINITY;
     let mut copied = 0.0;
     for _ in 0..TRIALS {
-        let (ns, c) = p2p_trial(bytes, eager_limit, reps, kind, false);
+        let (ns, c) = p2p_trial(bytes, reps, kind, false);
         best_ns = best_ns.min(ns);
         copied = c;
     }
@@ -215,7 +206,7 @@ fn main() {
         AllToAllAlgo::Adaptive,
     ];
     for &(p, block, reps) in alltoall_cases {
-        // Warmup worlds (thread spawn + pool fill), then interleave
+        // Warmup worlds (thread spawn), then interleave
         // best-of-TRIALS measurements round-robin across the algorithms.
         for algo in algos {
             let _ = bench_alltoall(p, block, algo, 5, TransportKind::Thread, false);
@@ -242,18 +233,18 @@ fn main() {
         }
     }
 
-    // Point-to-point protocols on a 64 KiB payload: eager (2 copies)
-    // vs rendezvous (1 copy), same message pattern.
+    // Borrowed point-to-point sends (one copy each) from latency-bound
+    // to bandwidth-bound payloads.
     let p2p_bytes = 64 * 1024;
-    for (name, limit) in [("p2p_eager", usize::MAX), ("p2p_rendezvous", 0)] {
-        let _ = bench_p2p(p2p_bytes, limit, 5, TransportKind::Thread);
-        let (ns, copied) = bench_p2p(p2p_bytes, limit, 50, TransportKind::Thread);
+    for bytes in [8, 256, 4096, p2p_bytes] {
+        let _ = bench_p2p(bytes, 5, TransportKind::Thread);
+        let (ns, copied) = bench_p2p(bytes, 50, TransportKind::Thread);
         rows.push(Row {
-            op: name,
+            op: "p2p_rendezvous",
             algo: "-",
             transport: TransportKind::Thread,
             ranks: 2,
-            bytes: p2p_bytes,
+            bytes,
             ns_per_op: ns,
             copied_per_op: copied,
         });
@@ -281,7 +272,7 @@ fn main() {
     }
 
     // Wire backends: one representative alltoall case (adaptive picks
-    // the engine) plus the eager p2p ping-pong, per backend. Loopback
+    // the engine) plus the borrowed p2p ping-pong, per backend. Loopback
     // mode, so inter-rank envelopes cross real rings/sockets.
     for kind in [TransportKind::Shmem, TransportKind::Tcp] {
         let (p, block, reps) = (4, 1024, 20);
@@ -303,10 +294,10 @@ fn main() {
             copied_per_op: best.1,
         });
 
-        let _ = bench_p2p(p2p_bytes, usize::MAX, 5, kind);
-        let (ns, copied) = bench_p2p(p2p_bytes, usize::MAX, 30, kind);
+        let _ = bench_p2p(p2p_bytes, 5, kind);
+        let (ns, copied) = bench_p2p(p2p_bytes, 30, kind);
         rows.push(Row {
-            op: "p2p_eager",
+            op: "p2p_rendezvous",
             algo: "-",
             transport: kind,
             ranks: 2,
@@ -329,7 +320,7 @@ fn main() {
         bench_alltoall(4, 1024, AllToAllAlgo::Adaptive, 40, TransportKind::Thread, profiled)
     };
     let p2p_overhead_trial =
-        |profiled: bool| p2p_trial(p2p_bytes, usize::MAX, 50, TransportKind::Thread, profiled);
+        |profiled: bool| p2p_trial(p2p_bytes, 50, TransportKind::Thread, profiled);
     let overhead_cases: [(&str, &str, &str, usize, usize, OverheadTrial); 2] = [
         ("alltoall_untraced", "alltoall_traced", "adaptive", 4, 1024, &alltoall_trial),
         ("p2p_untraced", "p2p_traced", "-", 2, p2p_bytes, &p2p_overhead_trial),

@@ -6,7 +6,6 @@ use crate::error::CommError;
 use crate::fault::{CollectiveFailed, FaultInjector, Injection, RankKilled};
 use crate::mailbox::{Mailbox, PostedId};
 use crate::message::{CommData, Envelope};
-use crate::pool::BufferPool;
 use crate::reduce_op::ReduceOp;
 use crate::registry::{CommId, Registry};
 use crate::request::{RecvRequest, SendRequest};
@@ -52,20 +51,10 @@ pub struct Communicator {
     /// with profiling); shared with derived communicators, which run on
     /// the same rank thread — the recorder's single-writer invariant.
     telemetry: Arc<SpanRecorder>,
-    /// Per-rank pool of reusable send buffers backing
-    /// [`Communicator::isend`]; shared with communicators derived via
-    /// [`Communicator::split`] (same thread, same pool).
-    pool: Arc<BufferPool>,
     /// Receives panic after this long without a matching message. This
     /// converts distributed deadlocks (a bug class this runtime exists to
     /// help find) into loud failures rather than silent hangs.
     recv_timeout: Duration,
-    /// Eager/rendezvous crossover for slice sends, in payload bytes:
-    /// at or below, the payload is copied into a pooled envelope (two
-    /// copies total); above, it is materialised once into an owned
-    /// buffer that travels by pointer (one copy total). See
-    /// [`crate::transport`].
-    eager_limit: usize,
     /// Fault injector for this rank, present only in worlds launched via
     /// [`crate::WorldBuilder::run_ft`] with a plan targeting this rank. Shared
     /// with derived communicators so the op count is per-rank, not
@@ -92,9 +81,7 @@ impl Communicator {
         world_of: Arc<Vec<usize>>,
         trace: Arc<RankTrace>,
         telemetry: Arc<SpanRecorder>,
-        pool: Arc<BufferPool>,
         recv_timeout: Duration,
-        eager_limit: usize,
     ) -> Self {
         let born_epoch = registry.revoke_epoch();
         Communicator {
@@ -105,9 +92,7 @@ impl Communicator {
             world_of,
             trace,
             telemetry,
-            pool,
             recv_timeout,
-            eager_limit,
             fault: None,
             born_epoch,
         }
@@ -134,9 +119,7 @@ impl Communicator {
             world_of: Arc::clone(&self.world_of),
             trace: Arc::clone(&self.trace),
             telemetry: Arc::clone(&self.telemetry),
-            pool: Arc::clone(&self.pool),
             recv_timeout,
-            eager_limit: self.eager_limit,
             fault: self.fault.clone(),
             born_epoch: self.born_epoch,
         }
@@ -176,17 +159,6 @@ impl Communicator {
     /// Identifier of this communicator within its world (diagnostics).
     pub fn id(&self) -> CommId {
         self.comm_id
-    }
-
-    /// The send-buffer pool backing [`Communicator::isend`] on this rank.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// The eager/rendezvous crossover for slice sends, in payload bytes
-    /// (see [`crate::transport`]).
-    pub fn eager_limit(&self) -> usize {
-        self.eager_limit
     }
 
     /// A live snapshot of the world's metrics plane: every registered
@@ -478,8 +450,8 @@ impl Communicator {
 
     /// Buffered send of an owned buffer to `dest`. Never blocks.
     ///
-    /// The buffer moves to the receiver without copying, mirroring an MPI
-    /// eager-protocol send at intra-process speed.
+    /// The buffer moves to the receiver by pointer: zero payload bytes
+    /// copied.
     pub fn send<T: CommData>(&self, dest: usize, tag: Tag, data: Vec<T>) {
         self.check_rank(dest).expect("send: invalid destination");
         let deliver = self.fault_point();
@@ -581,11 +553,6 @@ impl Communicator {
             .collect()
     }
 
-    /// Convenience: send a single value.
-    pub fn send_one<T: CommData>(&self, dest: usize, tag: Tag, value: T) {
-        self.send(dest, tag, vec![value]);
-    }
-
     /// Blocking receive of a buffer matching exactly `(src, tag)`.
     ///
     /// # Panics
@@ -684,19 +651,6 @@ impl Communicator {
         Ok(self.bounded_recv(src, tag, timeout)?.into_data())
     }
 
-    /// Like [`Communicator::recv_within`], also reporting the actual
-    /// source and tag (the fallible analogue of [`Communicator::recv_any`]).
-    pub fn recv_any_within<T: CommData>(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(Vec<T>, usize, Tag), CommError> {
-        let env = self.bounded_recv(src, tag, timeout)?;
-        let (s, t) = (env.src, env.tag);
-        Ok((env.into_data(), s, t))
-    }
-
     fn bounded_recv(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Envelope, CommError> {
         if src != ANY_SOURCE {
             self.check_rank(src)?;
@@ -746,34 +700,23 @@ impl Communicator {
 
     /// Nonblocking send of a slice to `dest`.
     ///
-    /// Below the [eager limit](Communicator::eager_limit) the payload is
-    /// copied into a reusable byte envelope from this rank's
-    /// [`BufferPool`] (copied out again at the receiver: two copies,
-    /// allocation-free after warmup). Above it the send takes the
-    /// rendezvous path: the payload is materialised once into an owned
-    /// buffer that travels by pointer and — when the receiver posted an
-    /// [`Communicator::irecv`] — deposits directly into that slot, for
-    /// one copy total. Either way the send is buffered and completes
+    /// The payload is materialised once into an owned buffer that
+    /// travels by pointer and — when the receiver posted an
+    /// [`Communicator::irecv`] — deposits directly into that slot: one
+    /// copy total, at any size. The send is buffered and completes
     /// immediately; the returned [`SendRequest`] completes via
-    /// [`SendRequest::wait`]/[`SendRequest::test`] or on drop.
+    /// [`SendRequest::wait`]/[`SendRequest::test`] or on drop. Use
+    /// [`Communicator::isend_owned`] or [`Communicator::isend_shared`]
+    /// to skip the copy.
     pub fn isend<T: CommData + Copy>(&self, dest: usize, tag: Tag, data: &[T]) -> SendRequest<'_> {
         self.check_rank(dest).expect("isend: invalid destination");
         let deliver = self.fault_point();
         let t = self.telemetry.begin();
         let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
         let bytes = std::mem::size_of_val(data);
-        let env = if bytes > self.eager_limit {
-            // Rendezvous: one copy here, then the Vec moves by pointer.
-            self.trace.record_copied(bytes as u64);
-            Envelope::new(self.rank, tag, data.to_vec())
-        } else {
-            // Eager: copy into a pooled envelope now, out of it at the
-            // receiver.
-            let (buf, hit) = self.pool.acquire(bytes);
-            self.trace.record_pool(hit);
-            self.trace.record_copied(2 * bytes as u64);
-            Envelope::from_slice(self.rank, tag, data, buf)
-        };
+        // One copy here, then the Vec moves by pointer.
+        self.trace.record_copied(bytes as u64);
+        let env = Envelope::new(self.rank, tag, data.to_vec());
         self.trace.record(OpKind::Send, 1, bytes as u64);
         self.trace.record_message(OpKind::Send, bytes as u64);
         self.record_peer_traffic(dest, bytes as u64);
@@ -789,8 +732,7 @@ impl Communicator {
     /// Nonblocking **ownership-transfer** send: the caller gives up the
     /// buffer and the allocation moves to the receiver by pointer — zero
     /// payload bytes copied, at any size, on any backend (charged to the
-    /// `handoff` counter, never to `copied`). This is the rendezvous
-    /// protocol the way the hardware wants it: on the thread backend the
+    /// `handoff` counter, never to `copied`). On the thread backend the
     /// `Vec` itself crosses; on shmem loopback large envelopes ride the
     /// in-process handoff slab (a token frame keeps ring FIFO order)
     /// instead of being serialized; wire backends that must serialize do
@@ -876,7 +818,7 @@ impl Communicator {
     /// poll with [`RecvRequest::test`], or batch with
     /// [`crate::wait_all`]. Posting receives *before* independent
     /// computation is how solvers overlap communication with compute —
-    /// and it publishes a destination slot that rendezvous sends
+    /// and it publishes a destination slot that sends
     /// deposit into directly, skipping the shared queue.
     pub fn irecv<T: CommData>(&self, src: usize, tag: Tag) -> RecvRequest<'_, T> {
         if src != ANY_SOURCE {
@@ -888,13 +830,6 @@ impl Communicator {
         self.telemetry
             .instant(SpanKind::Op(CommOp::Irecv), peer, tag, 0);
         RecvRequest::new(self, src, tag, posted)
-    }
-
-    /// Blocking slice send through the pooled path: `isend` + `wait`.
-    /// Prefer this over [`Communicator::send`] when the caller keeps
-    /// ownership of the buffer.
-    pub fn send_slice<T: CommData + Copy>(&self, dest: usize, tag: Tag, data: &[T]) {
-        self.isend(dest, tag, data).wait();
     }
 
     // ------------------------------------------------------------------
@@ -959,40 +894,6 @@ impl Communicator {
             );
         }
         self.coll_send_marker(dest, tag, bytes, ctx);
-    }
-
-    /// Send a borrowed slice on the collective channel, attributing
-    /// traffic to `kind`. Size-adaptive like [`Communicator::isend`]:
-    /// pooled below the eager limit, one owned copy above it. Lets
-    /// collective rounds forward partial results without cloning a
-    /// `Vec` per round.
-    pub(crate) fn coll_send_slice<T: CommData + Copy>(
-        &self,
-        dest: usize,
-        tag: Tag,
-        data: &[T],
-        kind: OpKind,
-    ) {
-        debug_assert!(dest < self.size);
-        let deliver = self.fault_point();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data);
-        let env = if bytes > self.eager_limit {
-            self.trace.record_copied(bytes as u64);
-            Envelope::new(self.rank, tag, data.to_vec())
-        } else {
-            let (buf, hit) = self.pool.acquire(bytes);
-            self.trace.record_pool(hit);
-            self.trace.record_copied(2 * bytes as u64);
-            Envelope::from_slice(self.rank, tag, data, buf)
-        };
-        self.trace.add_traffic(kind, 1, bytes as u64);
-        self.trace.record_message(kind, bytes as u64);
-        self.record_peer_traffic(dest, bytes as u64);
-        if deliver {
-            self.deliver(COLLECTIVE_CHANNEL, dest, env.with_ctx(ctx));
-        }
-        self.coll_send_marker(dest, tag, bytes as u64, ctx);
     }
 
     /// Fallible receive on the collective channel: `Err(RankFailed)` when
@@ -1424,71 +1325,6 @@ impl Communicator {
         Ok((recv.into_iter().flatten().collect(), recv_counts))
     }
 
-    /// Inclusive prefix reduction: rank r gets `v_0 ⊕ … ⊕ v_r`.
-    pub fn scan<T: CommData + Copy, O: ReduceOp<T>>(&self, value: T, op: &O) -> T {
-        self.try_scan(value, op)
-            .unwrap_or_else(|e| self.escalate("scan", e))
-    }
-
-    /// Fallible [`Communicator::scan`].
-    pub fn try_scan<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        value: T,
-        op: &O,
-    ) -> Result<T, CommError> {
-        collectives::scan::scan(self, value, op)
-    }
-
-    /// Exclusive prefix reduction (`None` on rank 0).
-    pub fn exscan<T: CommData + Copy, O: ReduceOp<T>>(&self, value: T, op: &O) -> Option<T> {
-        self.try_exscan(value, op)
-            .unwrap_or_else(|e| self.escalate("exscan", e))
-    }
-
-    /// Fallible [`Communicator::exscan`].
-    pub fn try_exscan<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        value: T,
-        op: &O,
-    ) -> Result<Option<T>, CommError> {
-        collectives::scan::exscan(self, value, op)
-    }
-
-    /// Reduce-scatter over a flat buffer: chunk `d*n/P .. (d+1)*n/P` is
-    /// this rank's contribution toward destination `d`; the returned
-    /// block is the element-wise reduction of every rank's chunk for this
-    /// destination.
-    pub fn reduce_scatter<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        contributions: &[T],
-        op: &O,
-    ) -> Vec<T> {
-        self.try_reduce_scatter(contributions, op)
-            .unwrap_or_else(|e| self.escalate("reduce_scatter", e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter`].
-    pub fn try_reduce_scatter<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        contributions: &[T],
-        op: &O,
-    ) -> Result<Vec<T>, CommError> {
-        if !contributions.len().is_multiple_of(self.size) {
-            return Err(CommError::SizeMismatch {
-                what: "reduce_scatter buffer length (must divide by comm size)",
-                expected: contributions.len().next_multiple_of(self.size),
-                got: contributions.len(),
-            });
-        }
-        let chunk = contributions.len() / self.size;
-        let blocks = if chunk == 0 {
-            vec![Vec::new(); self.size]
-        } else {
-            contributions.chunks(chunk).map(<[T]>::to_vec).collect()
-        };
-        collectives::scan::reduce_scatter(self, blocks, op)
-    }
-
     /// Fallible [`Communicator::broadcast`]: `Err` on an out-of-range
     /// root or a root that supplies no buffer.
     pub fn try_broadcast<T: CommData + Clone + Sync>(
@@ -1637,9 +1473,7 @@ impl Communicator {
             Arc::new(survivors_world),
             Arc::clone(&self.trace),
             Arc::clone(&self.telemetry),
-            Arc::clone(&self.pool),
             self.recv_timeout,
-            self.eager_limit,
         )
         .with_fault(self.fault.clone());
         // Confirm every survivor reached the same group. If agreement was
@@ -1716,9 +1550,7 @@ impl Communicator {
                 world_of,
                 Arc::clone(&self.trace),
                 Arc::clone(&self.telemetry),
-                Arc::clone(&self.pool),
                 self.recv_timeout,
-                self.eager_limit,
             )
             .with_fault(self.fault.clone()),
         )
@@ -2014,15 +1846,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_reduce_scatter_sums_chunks() {
-        World::builder(2).run(|c| {
-            let contributions = vec![c.rank() as f64 + 1.0; 4];
-            let mine = c.reduce_scatter(&contributions, &crate::reduce_op::SumOp);
-            assert_eq!(mine, vec![3.0, 3.0]);
-        });
-    }
-
-    #[test]
     fn try_variants_reject_bad_arguments_locally() {
         World::builder(2).run(|c| {
             assert!(matches!(
@@ -2040,10 +1863,6 @@ mod tests {
             assert!(matches!(
                 c.try_alltoallv(&[0u8; 4], &[1]),
                 Err(CommError::SizeMismatch { expected: 2, got: 1, .. })
-            ));
-            assert!(matches!(
-                c.try_reduce_scatter(&[0.5f64; 3], &crate::reduce_op::SumOp),
-                Err(CommError::SizeMismatch { got: 3, .. })
             ));
             if c.rank() == 0 {
                 assert!(matches!(
@@ -2077,26 +1896,13 @@ mod tests {
                 assert!(matches!(err, CommError::Timeout { rank: 0, .. }));
                 c.barrier();
                 // After the sender's barrier the message is guaranteed queued.
-                let (v, src, tag) = c
-                    .recv_any_within::<u8>(ANY_SOURCE, ANY_TAG, Duration::from_secs(5))
+                let v = c
+                    .recv_within::<u8>(ANY_SOURCE, ANY_TAG, Duration::from_secs(5))
                     .unwrap();
-                assert_eq!((v, src, tag), (vec![9], 1, 4));
+                assert_eq!(v, vec![9]);
             } else {
                 c.send(0, 4, vec![9u8]);
                 c.barrier();
-            }
-        });
-    }
-
-    #[test]
-    fn send_slice_keeps_caller_ownership() {
-        World::builder(2).run(|c| {
-            let data = vec![1.0f32, 2.0, 3.0];
-            if c.rank() == 0 {
-                c.send_slice(1, 2, &data);
-                assert_eq!(data.len(), 3); // still ours
-            } else {
-                assert_eq!(c.recv::<f32>(0, 2), vec![1.0, 2.0, 3.0]);
             }
         });
     }

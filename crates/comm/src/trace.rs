@@ -166,28 +166,20 @@ pub struct RankTrace {
     /// matrix and the classic byte matrix agree *exactly* by
     /// construction.
     phased: Mutex<PhasedCells>,
-    /// Send-buffer pool acquisitions served from the free list.
-    pool_hits: Counter,
-    /// Send-buffer pool acquisitions that had to allocate.
-    pool_misses: Counter,
     /// Nonblocking requests currently posted but not yet retired.
     outstanding: Gauge,
     /// High-water mark of `outstanding` — how deeply the program pipelines.
     peak_outstanding: Gauge,
     /// Payload bytes physically copied by the transport on this rank's
-    /// sends (eager/pooled sends count the payload twice — once into the
-    /// envelope, once out at the receiver; rendezvous sends count it
-    /// once; ownership-transfer sends move the allocation and count
-    /// zero, on every backend — wire serialization is transport-internal
-    /// and never charged here, so the accounting is backend-uniform).
+    /// sends (borrowed slice sends count the payload once;
+    /// ownership-transfer sends move the allocation and count zero, on
+    /// every backend — wire serialization is transport-internal and
+    /// never charged here, so the accounting is backend-uniform).
     copied: Counter,
     /// Payload bytes moved by ownership transfer (owned-`Vec` and shared
     /// `Arc` sends): the zero-copy traffic. Disjoint from `copied` by
     /// construction — a send charges one or the other, never both.
     handoff: Counter,
-    /// Peak simultaneously checked-out send-pool buffers, mirrored from
-    /// [`crate::BufferPool`] when the world joins.
-    pool_peak_in_flight: Gauge,
 }
 
 impl Default for RankTrace {
@@ -240,16 +232,6 @@ impl RankTrace {
         RankTrace {
             ops,
             phased: Mutex::new(BTreeMap::new()),
-            pool_hits: reg.counter(
-                "beatnik_pool_hits_total",
-                "send-pool acquisitions served from the free list",
-                &rl,
-            ),
-            pool_misses: reg.counter(
-                "beatnik_pool_misses_total",
-                "send-pool acquisitions that allocated",
-                &rl,
-            ),
             outstanding: reg.gauge(
                 "beatnik_requests_outstanding",
                 "nonblocking requests posted but not retired",
@@ -268,11 +250,6 @@ impl RankTrace {
             handoff: reg.counter(
                 "beatnik_transport_handoff_bytes_total",
                 "payload bytes moved by zero-copy ownership transfer",
-                &rl,
-            ),
-            pool_peak_in_flight: reg.gauge(
-                "beatnik_pool_peak_in_flight",
-                "peak simultaneously checked-out send-pool buffers",
                 &rl,
             ),
         }
@@ -387,15 +364,6 @@ impl RankTrace {
         self.ops.iter().map(|c| c.messages.get()).sum()
     }
 
-    /// Record one buffer-pool acquisition on the nonblocking send path.
-    pub fn record_pool(&self, hit: bool) {
-        if hit {
-            self.pool_hits.inc();
-        } else {
-            self.pool_misses.inc();
-        }
-    }
-
     /// Record that a nonblocking request (`isend`/`irecv`) was posted.
     pub fn request_posted(&self) {
         let now = self.outstanding.add(1);
@@ -408,26 +376,15 @@ impl RankTrace {
         self.outstanding.sub(1);
     }
 
-    /// Buffer-pool acquisitions served without allocating.
+    /// Always 0: no send draws on a send-buffer pool. Kept for readers
+    /// that report pool acquisitions.
     pub fn pool_hits(&self) -> u64 {
-        self.pool_hits.get()
+        0
     }
 
-    /// Buffer-pool acquisitions that allocated a fresh buffer.
+    /// Always 0; see [`RankTrace::pool_hits`].
     pub fn pool_misses(&self) -> u64 {
-        self.pool_misses.get()
-    }
-
-    /// Fraction of pool acquisitions served from the free list, in
-    /// `[0, 1]`; zero when the nonblocking path was never used.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let h = self.pool_hits();
-        let m = self.pool_misses();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
+        0
     }
 
     /// Record that the transport physically copied `bytes` payload bytes
@@ -452,17 +409,6 @@ impl RankTrace {
         self.handoff.get()
     }
 
-    /// Mirror the send pool's peak-in-flight gauge into the trace (the
-    /// world does this after joining so summaries can report it).
-    pub fn set_pool_peak_in_flight(&self, peak: u64) {
-        self.pool_peak_in_flight.set(peak);
-    }
-
-    /// Peak simultaneously checked-out send-pool buffers on this rank.
-    pub fn pool_peak_in_flight(&self) -> u64 {
-        self.pool_peak_in_flight.get()
-    }
-
     /// Nonblocking requests currently posted and not yet retired.
     pub fn outstanding_requests(&self) -> u64 {
         self.outstanding.get()
@@ -483,13 +429,10 @@ impl RankTrace {
             c.sizes.reset();
         }
         self.phased.lock().clear();
-        self.pool_hits.reset();
-        self.pool_misses.reset();
         self.outstanding.reset();
         self.peak_outstanding.reset();
         self.copied.reset();
         self.handoff.reset();
-        self.pool_peak_in_flight.reset();
     }
 }
 
@@ -539,18 +482,6 @@ impl WorldTrace {
             .unwrap_or(0)
     }
 
-    /// World-aggregate buffer-pool hit rate over the nonblocking send
-    /// path, in `[0, 1]`; zero when no rank used pooled sends.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let hits: u64 = self.per_rank.iter().map(|t| t.pool_hits()).sum();
-        let misses: u64 = self.per_rank.iter().map(|t| t.pool_misses()).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
     /// Deepest request pipeline any rank built (max over ranks of the
     /// per-rank peak of simultaneously outstanding `isend`/`irecv`
     /// requests).
@@ -564,8 +495,8 @@ impl WorldTrace {
 
     /// Payload bytes physically copied by sends across the whole world.
     /// Compare against [`total_bytes`](WorldTrace::total_bytes) to see
-    /// the copy factor the transport achieved (2× = fully eager/pooled,
-    /// 1× = fully rendezvous, 0× = owned-`Vec` moves).
+    /// the copy factor the transport achieved (1× = all borrowed slice
+    /// sends, 0× = all owned or shared moves).
     pub fn copied_bytes(&self) -> u64 {
         self.per_rank.iter().map(|t| t.copied_bytes()).sum()
     }
@@ -576,15 +507,6 @@ impl WorldTrace {
     /// the ones the transport did *not* have to touch.
     pub fn handoff_bytes(&self) -> u64 {
         self.per_rank.iter().map(|t| t.handoff_bytes()).sum()
-    }
-
-    /// Largest send-pool peak-in-flight gauge over all ranks.
-    pub fn pool_peak_in_flight(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|t| t.pool_peak_in_flight())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Sum of one op's per-message size histogram over all ranks.
@@ -716,19 +638,6 @@ impl WorldTrace {
                 s.bytes
             );
         }
-        let hits: u64 = self.per_rank.iter().map(|t| t.pool_hits()).sum();
-        let misses: u64 = self.per_rank.iter().map(|t| t.pool_misses()).sum();
-        if hits + misses > 0 {
-            let _ = writeln!(
-                out,
-                "send-buffer pool: {hits} hits / {misses} misses ({:.1}% hit rate)",
-                self.pool_hit_rate() * 100.0
-            );
-        }
-        let pool_peak = self.pool_peak_in_flight();
-        if pool_peak > 0 {
-            let _ = writeln!(out, "send-buffer pool peak in flight (any rank): {pool_peak}");
-        }
         let copied = self.copied_bytes();
         if copied > 0 {
             let _ = writeln!(out, "payload bytes copied by transport: {copied}");
@@ -841,13 +750,6 @@ mod tests {
     #[test]
     fn pool_and_request_counters() {
         let t = RankTrace::new();
-        assert_eq!(t.pool_hit_rate(), 0.0);
-        t.record_pool(false);
-        t.record_pool(true);
-        t.record_pool(true);
-        assert_eq!(t.pool_hits(), 2);
-        assert_eq!(t.pool_misses(), 1);
-        assert!((t.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         t.request_posted();
         t.request_posted();
         assert_eq!(t.outstanding_requests(), 2);
@@ -860,8 +762,9 @@ mod tests {
         t.request_completed();
         assert_eq!(t.outstanding_requests(), 0);
         assert_eq!(t.peak_outstanding(), 3);
+        // No send draws on a pool: the kept accessors always read 0.
+        assert_eq!((t.pool_hits(), t.pool_misses()), (0, 0));
         t.reset();
-        assert_eq!(t.pool_hits(), 0);
         assert_eq!(t.peak_outstanding(), 0);
     }
 
@@ -903,17 +806,13 @@ mod tests {
     fn world_trace_reports_pool_and_peak() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record_pool(true);
-        a.record_pool(false);
-        b.record_pool(true);
         for _ in 0..4 {
             b.request_posted();
         }
         let w = WorldTrace::new(vec![a, b]);
-        assert!((w.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(w.peak_outstanding(), 4);
         let s = w.summary();
-        assert!(s.contains("send-buffer pool"));
+        assert!(!s.contains("pool"), "{s}");
         assert!(s.contains("peak outstanding"));
     }
 
@@ -924,18 +823,14 @@ mod tests {
         a.record_copied(100);
         a.record_copied(28);
         b.record_copied(72);
-        a.set_pool_peak_in_flight(3);
-        b.set_pool_peak_in_flight(9);
         assert_eq!(a.copied_bytes(), 128);
         let w = WorldTrace::new(vec![Arc::clone(&a), b]);
         assert_eq!(w.copied_bytes(), 200);
-        assert_eq!(w.pool_peak_in_flight(), 9);
         let s = w.summary();
         assert!(s.contains("payload bytes copied by transport: 200"), "{s}");
-        assert!(s.contains("peak in flight (any rank): 9"), "{s}");
+        assert!(!s.contains("peak in flight"), "{s}");
         a.reset();
         assert_eq!(a.copied_bytes(), 0);
-        assert_eq!(a.pool_peak_in_flight(), 0);
     }
 
     #[test]
@@ -1008,7 +903,6 @@ mod tests {
         t0.record(OpKind::Send, 1, 64);
         t0.record_message(OpKind::Send, 64);
         t1.record(OpKind::Alltoall, 3, 300);
-        t1.record_pool(true);
         t1.request_posted();
         let snap = reg.snapshot();
         assert_eq!(
@@ -1023,7 +917,7 @@ mod tests {
             snap.value("beatnik_comm_message_size_bytes", &[("rank", "0"), ("op", "send")]),
             Some(1)
         );
-        assert_eq!(snap.value("beatnik_pool_hits_total", &[("rank", "1")]), Some(1));
+        assert_eq!(snap.value("beatnik_pool_hits_total", &[("rank", "1")]), None);
         assert_eq!(
             snap.value("beatnik_requests_outstanding_peak", &[("rank", "1")]),
             Some(1)
@@ -1042,10 +936,7 @@ mod tests {
             t.record(OpKind::Alltoall, 3, 300);
             t.record_message(OpKind::Alltoall, 100);
             t.record_copied(100);
-            t.record_pool(true);
-            t.record_pool(false);
             t.request_posted();
-            t.set_pool_peak_in_flight(2);
         };
         let plain = Arc::new(RankTrace::new());
         record(&plain);

@@ -16,7 +16,7 @@
 //!   drains every ring into the shared registry's mailboxes. Used by
 //!   the backend test matrix so the full collective/fault suites
 //!   exercise real serialization and real shared memory. Large
-//!   wire-safe envelopes (at or above the world's eager limit) skip
+//!   wire-safe envelopes (at or above `LOOPBACK_HANDOFF_MIN`) skip
 //!   serialization entirely: the envelope is stashed in a
 //!   process-local **handoff slab** and only a ~21-byte `HANDOFF`
 //!   token rides the ring, so FIFO order against smaller serialized
@@ -49,6 +49,11 @@ const HEADER_BYTES: usize = 128;
 
 /// Smallest ring we will build; below this the header dominates.
 const MIN_RING_BYTES: usize = 4096;
+
+/// Smallest payload (bytes) a loopback world moves through the handoff
+/// slab; smaller envelopes are serialized through the rings so the
+/// backend matrix still exercises the real wire format.
+pub(crate) const LOOPBACK_HANDOFF_MIN: usize = 8192;
 
 #[cfg(unix)]
 mod sys {
@@ -275,7 +280,8 @@ pub struct ShmemTransport {
     handoff: Arc<Mutex<HashMap<u64, Envelope>>>,
     /// Token mint for the slab.
     handoff_seq: AtomicU64,
-    /// Smallest payload (bytes) taking the handoff path; `usize::MAX`
+    /// Smallest payload (bytes) taking the handoff path
+    /// (`LOOPBACK_HANDOFF_MIN` in loopback worlds); `usize::MAX`
     /// disables it (per-process mode, where no cross-rank destination is
     /// ever in-process).
     handoff_min: usize,

@@ -48,13 +48,14 @@ backend_matrix! {
         });
     }
 
-    /// Both the eager and the rendezvous protocol move bytes intact
-    /// across the backend, and per-peer message streams never overtake.
+    /// Small and large messages move bytes intact across the backend,
+    /// and per-peer message streams never overtake. On shmem the small
+    /// ones are serialized through the ring and the large ones ride the
+    /// handoff slab (8 KiB and up), so both frame kinds interleave.
     fn eager_and_rendezvous_streams_stay_ordered(kind: TransportKind) {
         World::builder(3)
             .transport(kind)
             .recv_timeout(TIMEOUT)
-            .eager_limit(256)
             .run(|c| {
                 let peers = 3usize;
                 for round in 0..20u64 {
@@ -62,9 +63,9 @@ backend_matrix! {
                         if dst == c.rank() {
                             continue;
                         }
-                        // Alternate below/above the eager limit so both
-                        // protocols interleave on the same stream.
-                        let len = if round % 2 == 0 { 4 } else { 128 };
+                        // Alternate 32 B and 16 KiB payloads, below and
+                        // above the shmem handoff threshold.
+                        let len = if round % 2 == 0 { 4 } else { 2048 };
                         let msg: Vec<u64> = (0..len).map(|i| round * 1000 + i).collect();
                         c.send(dst, 7, msg);
                     }

@@ -119,20 +119,6 @@ fn all_collectives_fail_fast(p: usize) {
                 c.try_alltoallv(&vec![c.rank() as u64; c.size()], &counts).map(|_| ())
             }),
         ),
-        (
-            "scan",
-            Box::new(|c: &Communicator| c.try_scan(c.rank() as i64, &SumOp).map(|_| ())),
-        ),
-        (
-            "exscan",
-            Box::new(|c: &Communicator| c.try_exscan(c.rank() as i64, &SumOp).map(|_| ())),
-        ),
-        (
-            "reduce_scatter",
-            Box::new(|c: &Communicator| {
-                c.try_reduce_scatter(&vec![1.0f64; c.size()], &SumOp).map(|_| ())
-            }),
-        ),
     ];
     for (name, coll) in cases {
         eprintln!("case: {name} p={p}");

@@ -1,22 +1,21 @@
-//! Transport-protocol integration tests: copy accounting across the
-//! eager/rendezvous crossover, and ordering guarantees of the indexed
-//! mailbox under randomized same-selector streams.
+//! Transport-protocol integration tests: copy accounting of the send
+//! styles (borrowed 1x, owned and shared 0x), and ordering guarantees of
+//! the indexed mailbox under randomized same-selector streams.
 
-use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG, DEFAULT_EAGER_LIMIT};
+use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG};
 use beatnik_prng::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Above the eager limit the transport must perform exactly ONE payload
-/// copy (sender-side materialisation into the owned buffer that then
-/// moves by pointer). Verified through the trace's copied-bytes
-/// counter, which the send paths charge per protocol.
+/// A borrowed send performs exactly ONE payload copy (sender-side
+/// materialisation into the owned buffer that then moves by pointer).
+/// Verified through the trace's copied-bytes counter, which the send
+/// paths charge per send style.
 #[test]
 fn rendezvous_sends_copy_payload_exactly_once() {
-    // Eager limit 0: every sized isend takes the rendezvous path.
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(0).run_traced(|c| {
+    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).run_traced(|c| {
         if c.rank() == 0 {
             c.isend(1, 1, &[7u64; 100]).wait(); // 800 bytes
         } else {
@@ -27,54 +26,46 @@ fn rendezvous_sends_copy_payload_exactly_once() {
     assert_eq!(
         trace.rank(0).copied_bytes(),
         800,
-        "rendezvous must copy the payload exactly once"
+        "a borrowed send must copy the payload exactly once"
     );
-    // The receiver takes ownership of the buffer — no copy charged there,
-    // and no pooled envelope was involved on either side.
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 0);
+    // The receiver takes ownership of the buffer — no copy charged there.
+    assert_eq!(trace.rank(1).copied_bytes(), 0);
 }
 
-/// Below the limit the eager path copies twice: into the pooled envelope
-/// at the sender, out of it at the receiver.
+/// One copy at every size on every backend: small payloads that shmem
+/// serializes through its rings, payloads at its handoff-slab threshold,
+/// and large ones. Wire serialization is transport-internal and never
+/// charged, so the count is the same on all three.
 #[test]
-fn eager_sends_copy_payload_twice() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(DEFAULT_EAGER_LIMIT).run_traced(|c| {
-        if c.rank() == 0 {
-            c.isend(1, 1, &[7u64; 100]).wait();
-        } else {
-            let _ = c.irecv::<u64>(0, 1).wait();
+fn borrowed_sends_copy_payload_exactly_once_at_every_size() {
+    for kind in TransportKind::all() {
+        for bytes in [8usize, 8 << 10, 64 << 10] {
+            let (_, trace) = World::builder(2)
+                .transport(kind)
+                .recv_timeout(TIMEOUT)
+                .run_traced(move |c| {
+                    if c.rank() == 0 {
+                        c.isend(1, 1, &vec![3u8; bytes]).wait();
+                    } else {
+                        assert_eq!(c.recv::<u8>(0, 1), vec![3u8; bytes]);
+                    }
+                });
+            let copied = trace.rank(0).copied_bytes();
+            assert_eq!(copied, bytes as u64, "{bytes} B on {kind}");
+            assert_eq!(trace.rank(0).handoff_bytes(), 0, "{bytes} B on {kind}");
         }
-    });
-    assert_eq!(trace.rank(0).copied_bytes(), 1600);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 1);
+    }
 }
 
-/// The crossover is exclusive at the limit: a payload of exactly
-/// `eager_limit` bytes stays eager; one byte more goes rendezvous.
-#[test]
-fn crossover_boundary_is_exclusive() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(64).run_traced(|c| {
-        if c.rank() == 0 {
-            c.isend(1, 1, &[1u8; 64]).wait(); // == limit: eager
-            c.isend(1, 2, &[2u8; 65]).wait(); // > limit: rendezvous
-        } else {
-            assert_eq!(c.irecv::<u8>(0, 1).wait().len(), 64);
-            assert_eq!(c.irecv::<u8>(0, 2).wait().len(), 65);
-        }
-    });
-    assert_eq!(trace.rank(0).copied_bytes(), 2 * 64 + 65);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 1);
-}
-
-/// Rendezvous deposits must land directly in a posted receive: post the
-/// irecv first, then send large, and confirm completion plus single-copy
+/// Borrowed sends must deposit directly into a posted receive: post the
+/// irecv first, then send, and confirm completion plus single-copy
 /// accounting in one run.
 #[test]
 fn rendezvous_deposits_into_posted_receive() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(8).run_traced(|c| {
+    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).run_traced(|c| {
         if c.rank() == 0 {
             c.barrier(); // ensure rank 1's irecv is posted first
-            c.isend(1, 5, &[0.25f64; 64]).wait(); // 512 bytes, rendezvous
+            c.isend(1, 5, &[0.25f64; 64]).wait(); // 512 bytes
         } else {
             let req = c.irecv::<f64>(0, 5);
             c.barrier();
@@ -90,9 +81,9 @@ fn rendezvous_deposits_into_posted_receive() {
 /// `copied` is a pinned invariant, not an accounting gap.
 #[test]
 fn owned_sends_copy_nothing_at_any_size() {
-    // Eager limit 0: a slice isend of any size would go rendezvous
-    // (1 copy); the owned path must still charge zero.
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(0).run_traced(|c| {
+    // A slice isend of either size would copy once; the owned path must
+    // charge zero.
+    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).run_traced(|c| {
         if c.rank() == 0 {
             c.isend_owned(1, 1, vec![7u64; 100]).wait(); // 800 bytes
             c.isend_owned(1, 2, vec![9u64; 65536]).wait(); // 512 KiB
@@ -103,7 +94,6 @@ fn owned_sends_copy_nothing_at_any_size() {
     });
     assert_eq!(trace.rank(0).copied_bytes(), 0, "ownership transfer must not copy");
     assert_eq!(trace.rank(0).handoff_bytes(), 800 + 65536 * 8);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 0);
 }
 
 /// Shared-buffer sends fan one allocation out to many destinations with
@@ -138,7 +128,7 @@ beatnik_comm::backend_matrix! {
             .recv_timeout(TIMEOUT)
             .run_traced(|c| {
                 if c.rank() == 0 {
-                    let data: Vec<u64> = (0..8192).collect(); // 64 KiB >= eager limit
+                    let data: Vec<u64> = (0..8192).collect(); // 64 KiB
                     c.isend_owned(1, 7, data).wait();
                 } else {
                     let got = c.irecv::<u64>(0, 7).wait();
@@ -270,23 +260,21 @@ fn wait_all_wildcards_and_exact_posts_preserve_stream_order() {
 }
 
 /// Property test for the zero-copy path: ownership-transfer sends mixed
-/// into eager, rendezvous, and posted-receive traffic must preserve
-/// per-stream non-overtaking order and payload integrity — and the copy
-/// counters must come out exactly as the protocol prices each style
-/// (eager 2x, rendezvous slice 1x, owned 0x + handoff).
+/// into small and large borrowed sends and posted-receive traffic must
+/// preserve per-stream non-overtaking order and payload integrity — and
+/// the copy counters must come out exactly as each style is priced
+/// (borrowed slice 1x at any size, owned 0x + handoff).
 #[test]
 fn zero_copy_sends_interleave_with_eager_and_rendezvous_traffic() {
     const MSGS: u64 = 45;
-    const LIMIT: usize = 1024;
     // Message sizes in u64 elements per send style.
-    const EAGER_N: usize = 64; // 512 B  <= limit: eager, copied 2x
-    const RDV_N: usize = 200; // 1600 B >  limit: slice rendezvous, copied 1x
+    const SMALL_N: usize = 64; // 512 B borrowed, copied 1x
+    const LARGE_N: usize = 200; // 1600 B borrowed, copied 1x
     const OWNED_N: usize = 300; // 2400 B: ownership transfer, copied 0x
 
     for seed in 0..3u64 {
         let (expected, trace) = World::builder(4)
             .recv_timeout(TIMEOUT)
-            .eager_limit(LIMIT)
             .run_traced(move |c| {
                 if c.rank() == 0 {
                     let mut next_seq = [0u64; 4];
@@ -335,12 +323,12 @@ fn zero_copy_sends_interleave_with_eager_and_rendezvous_traffic() {
                         };
                         match seq % 3 {
                             0 => {
-                                c.isend(0, r, &fill(EAGER_N)).wait();
-                                copied += 2 * (EAGER_N * 8) as u64;
+                                c.isend(0, r, &fill(SMALL_N)).wait();
+                                copied += (SMALL_N * 8) as u64;
                             }
                             1 => {
-                                c.isend(0, r, &fill(RDV_N)).wait();
-                                copied += (RDV_N * 8) as u64;
+                                c.isend(0, r, &fill(LARGE_N)).wait();
+                                copied += (LARGE_N * 8) as u64;
                             }
                             _ => {
                                 c.isend_owned(0, r, fill(OWNED_N)).wait();

@@ -193,10 +193,11 @@ mod tests {
             let s = trace.rank(r).get(OpKind::Send);
             assert_eq!(s.messages, 3);
             assert_eq!(s.bytes, 3 * 10 * 48);
-            // Every isend drew a pooled envelope, and at each pipelined
-            // step the send and the receive were in flight together.
+            // Every borrowed isend copied its block once, and at each
+            // pipelined step the send and the receive were in flight
+            // together.
             let t = trace.rank(r);
-            assert_eq!(t.pool_hits() + t.pool_misses(), 3);
+            assert_eq!(t.copied_bytes(), 3 * 10 * 48);
             assert!(t.peak_outstanding() >= 2, "rank {r}");
             assert_eq!(t.outstanding_requests(), 0, "rank {r}");
         }
