@@ -32,6 +32,16 @@ impl<T> Mutex<T> {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
     }
+
+    /// Take the lock only if it is free right now.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(inner) })
+    }
 }
 
 /// RAII guard for [`Mutex`]; released on drop.
@@ -155,6 +165,10 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert_eq!(*m.try_lock().expect("free lock"), 2);
         let rw = RwLock::new(5);
         assert_eq!(*rw.read(), 5);
         *rw.write() = 6;

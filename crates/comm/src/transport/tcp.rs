@@ -9,13 +9,16 @@
 //! `seq u64 | crc32 u32 | inner wire frame`) or a **HB** (`0x12`:
 //! `cumulative ack u64`), inside the `u32`-length outer framing. Each
 //! directed link keeps a send window of unacked MSG frames; heartbeats
-//! carry cumulative acks that prune it, and a go-back-N retransmit
-//! timer replays the window when acks stall. The receiver applies
-//! frames strictly in sequence (duplicates and out-of-order futures
-//! are discarded), so a frame the chaos interposer drops, corrupts, or
-//! duplicates on the wire is healed *below* the application: the CRC
-//! rejects mangled bytes, the replay timer retransmits, and the seq
-//! check deduplicates.
+//! carry cumulative acks that prune it (sent promptly after every sweep
+//! that delivers frames, and at least once a heartbeat period), and a
+//! go-back-N retransmit timer replays the window when acks stall. A
+//! data frame is encoded once, behind headroom for its header, and that
+//! one buffer is the window entry and the bytes every (re)send writes.
+//! The receiver applies frames strictly in sequence (duplicates and
+//! out-of-order futures are discarded), so a frame the chaos interposer
+//! drops, corrupts, or duplicates on the wire is healed *below* the
+//! application: the CRC rejects mangled bytes, the replay timer
+//! retransmits, and the seq check deduplicates.
 //!
 //! ## Link state machine (DESIGN.md §16)
 //!
@@ -51,7 +54,7 @@ use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -64,15 +67,18 @@ const TAG_RECON: u8 = 0x13;
 /// Per-dial allowance for the RECON handshake round-trip.
 const RECON_IO_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Write one length-prefixed frame, tolerating `WouldBlock` (the write
-/// half shares its fd with the nonblocking reader clone).
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + frame.len());
-    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    buf.extend_from_slice(frame);
+/// Bytes in front of a MSG frame's inner wire frame: the `u32` stream
+/// length, then the tag, `seq u64` and `crc32 u32`. Data frames are
+/// encoded behind this much headroom so the header is sealed in place
+/// and one buffer serves the window, the first send and every replay.
+const MSG_HEADROOM: usize = 4 + 13;
+
+/// Write all of `bytes`, tolerating `WouldBlock` (the write half shares
+/// its fd with the nonblocking reader clone).
+fn write_all(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<()> {
     let mut off = 0;
-    while off < buf.len() {
-        match stream.write(&buf[off..]) {
+    while off < bytes.len() {
+        match stream.write(&bytes[off..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
@@ -81,6 +87,15 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Write one length-prefixed frame that has no headroom of its own
+/// (handshakes and chaos-mangled copies).
+fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(4 + frame.len());
+    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    buf.extend_from_slice(frame);
+    write_all(stream, &buf)
 }
 
 /// Read exactly `buf.len()` bytes, spinning through `WouldBlock` until
@@ -103,8 +118,35 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
     Ok(())
 }
 
-/// Table-driven CRC-32 (IEEE polynomial) over a frame's inner bytes.
+/// CRC-32 (the IEEE 802.3 / zlib polynomial, bit-reflected) over a
+/// frame's inner bytes. Dispatches at runtime to a PCLMULQDQ folding
+/// kernel and falls back to the byte table. SSE4.2's `crc32`
+/// instruction is not an option: it computes CRC-32C (Castagnoli), a
+/// different polynomial, so it would change the wire format.
 fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if bytes.len() >= clmul::MIN_LEN
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: PCLMULQDQ and SSE4.1 support was just verified at
+            // runtime, and the length meets the kernel's minimum.
+            return unsafe { clmul::crc32(bytes) };
+        }
+    }
+    crc32_bytes(bytes)
+}
+
+/// Byte-at-a-time table CRC-32: the portable fallback, and the oracle
+/// the folding kernel is tested against.
+fn crc32_bytes(bytes: &[u8]) -> u32 {
+    !crc32_table_update(!0, bytes)
+}
+
+/// Advance a raw (uninverted) CRC-32 register over `bytes`, one table
+/// lookup per byte.
+fn crc32_table_update(mut c: u32, bytes: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -119,27 +161,121 @@ fn crc32(bytes: &[u8]) -> u32 {
         }
         t
     });
-    let mut c = !0u32;
     for &b in bytes {
         c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
-/// Encode a MSG frame: tag, sequence, CRC over the inner frame, inner.
-fn encode_msg(seq: u64, inner: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + inner.len());
-    out.push(TAG_MSG);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&crc32(inner).to_le_bytes());
-    out.extend_from_slice(inner);
-    out
+/// CRC-32 by carry-less multiplication, after Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Intel, 2009), bit-reflected variant: fold four 128-bit lanes 64
+/// bytes at a time, fold them into one lane, reduce 128 → 64 bits, and
+/// finish with a Barrett reduction to 32 bits. The last `len % 16`
+/// bytes go through the byte table.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use core::arch::x86_64::*;
+
+    /// Shortest input the kernel accepts: its four initial lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // Folding constants `x^k mod P(x)`, bit-reflected and shifted left
+    // by one, for fold distances of four lanes (k = 4·128 ± 32), one
+    // lane (k = 128 ± 32) and the final 64 bits (k = 64).
+    const K1: i64 = 0x1_5444_2bd4; // k = 544
+    const K2: i64 = 0x1_c6e4_1596; // k = 480
+    const K3: i64 = 0x1_7519_97d0; // k = 160
+    const K4: i64 = 0x0_ccaa_009e; // k = 96
+    const K5: i64 = 0x1_63cd_6124; // k = 64
+    /// `P(x)` bit-reflected, and Barrett's `μ = ⌊x^64 / P(x)⌋` likewise.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ and SSE4.1, and
+    /// `data.len() >= MIN_LEN`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn crc32(mut data: &[u8]) -> u32 {
+        assert!(data.len() >= MIN_LEN);
+        let mut x3 = take(&mut data);
+        let mut x2 = take(&mut data);
+        let mut x1 = take(&mut data);
+        let mut x0 = take(&mut data);
+        // The initial register (all ones) is folded into the first word.
+        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(!0));
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while data.len() >= 64 {
+            x3 = fold(x3, take(&mut data), k1k2);
+            x2 = fold(x2, take(&mut data), k1k2);
+            x1 = fold(x1, take(&mut data), k1k2);
+            x0 = fold(x0, take(&mut data), k1k2);
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x3, x2, k3k4);
+        x = fold(x, x1, k3k4);
+        x = fold(x, x0, k3k4);
+        while data.len() >= 16 {
+            x = fold(x, take(&mut data), k3k4);
+        }
+
+        // 128 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction 64 → 32 bits; reflected, so the remainder
+        // lands in the upper half of the low quadword.
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        !super::crc32_table_update(c, data)
+    }
+
+    /// `a` carried forward across the fold distance in `keys`, plus `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Load the next 16 bytes and advance past them.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn take(data: &mut &[u8]) -> __m128i {
+        let (head, rest) = data.split_at(16);
+        *data = rest;
+        // SAFETY: `head` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(head.as_ptr() as *const __m128i) }
+    }
 }
 
-fn encode_hb(ack: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(TAG_HB);
-    out.extend_from_slice(&ack.to_le_bytes());
+/// Seal a MSG frame in place: `frame` is [`MSG_HEADROOM`] bytes of
+/// headroom followed by the inner wire frame. The seq is stamped later,
+/// under the link lock; the CRC covers only the inner frame, so it is
+/// computed here, outside the lock.
+fn seal_msg(frame: &mut [u8]) {
+    let crc = crc32(&frame[MSG_HEADROOM..]);
+    let len = (frame.len() - 4) as u32;
+    frame[0..4].copy_from_slice(&len.to_le_bytes());
+    frame[4] = TAG_MSG;
+    frame[13..17].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A length-prefixed HB frame carrying a cumulative ack, ready for one
+/// `write`.
+fn encode_hb(ack: u64) -> [u8; 13] {
+    let mut out = [0u8; 13];
+    out[0..4].copy_from_slice(&9u32.to_le_bytes());
+    out[4] = TAG_HB;
+    out[5..13].copy_from_slice(&ack.to_le_bytes());
     out
 }
 
@@ -217,13 +353,14 @@ impl Knobs {
 
 /// Send-side state of one directed link, guarded by the link mutex.
 struct Tx {
-    /// Blocking write half; `None` while torn.
+    /// Write half, `None` while torn. Nonblocking: it shares its open
+    /// file with the reader, so a full socket returns `WouldBlock`.
     stream: Option<TcpStream>,
     /// Sequence the next new frame gets (first frame is 1).
     next_seq: u64,
-    /// Highest cumulative ack heard from the peer.
+    /// Highest cumulative ack applied to the window.
     acked: u64,
-    /// Unacked MSG frames (encoded, header included), oldest first.
+    /// Unacked MSG frames, sealed and length-prefixed, oldest first.
     window: VecDeque<(u64, Vec<u8>)>,
     /// When the stream tore (drives the backoff / give-up schedule).
     torn_at: Option<Instant>,
@@ -236,14 +373,24 @@ struct Tx {
     next_dial: Instant,
     /// Terminal state: no more reconnects (peer dead or said BYE).
     down: bool,
-    /// Last time any frame arrived from the peer.
-    last_heard: Instant,
-    /// Last time we sent a heartbeat.
+    /// Last time we sent a heartbeat (periodic or prompt ack).
     last_hb: Instant,
-    /// Heartbeat periods of silence already counted as misses.
-    misses_counted: u32,
     /// Last time the window made progress (ack advance / retransmit).
     last_progress: Instant,
+}
+
+impl Tx {
+    /// Stamp a sealed MSG frame with the next seq and keep it in the
+    /// window until the peer acks it.
+    fn push(&mut self, mut frame: Vec<u8>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        frame[5..13].copy_from_slice(&seq.to_le_bytes());
+        if self.window.is_empty() {
+            self.last_progress = Instant::now();
+        }
+        self.window.push_back((seq, frame));
+    }
 }
 
 /// One directed link endpoint this process owns: `owner` (local) writes
@@ -257,6 +404,18 @@ struct Link {
     tx: Mutex<Tx>,
     /// Highest seq applied from the peer (receive side).
     last_delivered: AtomicU64,
+    /// Highest `last_delivered` a heartbeat has carried to the peer.
+    ack_sent: AtomicU64,
+    /// Highest cumulative ack heard from the peer. The event loop
+    /// records it here without waiting for `tx`; whoever holds `tx` next
+    /// prunes the window ([`Link::absorb_acks`]).
+    peer_acked: AtomicU64,
+    /// Origin of `last_heard_ns`.
+    epoch: Instant,
+    /// Nanoseconds after `epoch` that bytes last arrived from the peer.
+    last_heard_ns: AtomicU64,
+    /// Heartbeat periods of silence already counted as misses.
+    misses_counted: AtomicU32,
     /// Peer announced a clean shutdown; its EOF is not a failure.
     saw_bye: AtomicBool,
     /// Bumped on every (re)install so stale readers don't tear the
@@ -286,24 +445,68 @@ impl Link {
                 dialing: false,
                 next_dial: now,
                 down: false,
-                last_heard: now,
                 last_hb: now,
-                misses_counted: 0,
                 last_progress: now,
             }),
             last_delivered: AtomicU64::new(0),
+            ack_sent: AtomicU64::new(0),
+            peer_acked: AtomicU64::new(0),
+            epoch: now,
+            last_heard_ns: AtomicU64::new(0),
+            misses_counted: AtomicU32::new(0),
             saw_bye: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             mute: AtomicBool::new(false),
         });
-        let reader = Reader {
-            link: Arc::clone(&link),
-            generation: 0,
-            stream,
-            buf: Vec::new(),
-            open: true,
-        };
+        let reader = Reader::new(Arc::clone(&link), 0, stream);
         Ok((link, reader))
+    }
+
+    /// Record that bytes arrived from the peer just now.
+    fn mark_heard(&self, now: Instant) {
+        let ns = now.duration_since(self.epoch).as_nanos() as u64;
+        self.last_heard_ns.store(ns, Ordering::Relaxed);
+        self.misses_counted.store(0, Ordering::Relaxed);
+    }
+
+    /// How long the peer has been silent.
+    fn silence(&self, now: Instant) -> Duration {
+        let heard = self.epoch + Duration::from_nanos(self.last_heard_ns.load(Ordering::Relaxed));
+        now.saturating_duration_since(heard)
+    }
+
+    /// Drop window frames covered by the peer's latest ack; an advance
+    /// counts as progress for the retransmit timer.
+    fn absorb_acks(&self, tx: &mut Tx, now: Instant) {
+        let ack = self.peer_acked.load(Ordering::Acquire);
+        if ack > tx.acked {
+            tx.acked = ack;
+            tx.last_progress = now;
+            while tx.window.front().is_some_and(|(seq, _)| *seq <= ack) {
+                tx.window.pop_front();
+            }
+        }
+    }
+
+    /// One nonblocking write of a heartbeat carrying our cumulative ack.
+    /// `WouldBlock` leaves it for a later sweep; returns false when the
+    /// stream must be torn (an error, or a short write that left half a
+    /// frame on the wire).
+    fn write_hb(&self, tx: &mut Tx, now: Instant) -> bool {
+        let Some(stream) = tx.stream.as_mut() else {
+            return true;
+        };
+        let ack = self.last_delivered.load(Ordering::Acquire);
+        let hb = encode_hb(ack);
+        match stream.write(&hb) {
+            Ok(n) if n == hb.len() => {
+                tx.last_hb = now;
+                self.ack_sent.fetch_max(ack, Ordering::Relaxed);
+                true
+            }
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => true,
+            _ => false,
+        }
     }
 
     /// Tear the connection: close our end (so the peer sees EOF) and
@@ -318,7 +521,7 @@ impl Link {
             tx.next_dial = now;
         }
         self.generation.fetch_add(1, Ordering::Release);
-        tx.misses_counted = 0;
+        self.misses_counted.store(0, Ordering::Relaxed);
     }
 }
 
@@ -327,8 +530,63 @@ struct Reader {
     link: Arc<Link>,
     generation: u64,
     stream: TcpStream,
-    buf: Vec<u8>,
+    buf: RecvBuf,
     open: bool,
+}
+
+impl Reader {
+    fn new(link: Arc<Link>, generation: u64, stream: TcpStream) -> Reader {
+        Reader {
+            link,
+            generation,
+            stream,
+            buf: RecvBuf::default(),
+            open: true,
+        }
+    }
+}
+
+/// Least free space a socket read is offered.
+const READ_MIN: usize = 64 * 1024;
+
+/// A reader's receive buffer. The socket reads straight into its tail;
+/// `data[start..end]` is read but not yet framed.
+#[derive(Default)]
+struct RecvBuf {
+    data: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    /// Free space for the next read: at least [`READ_MIN`] bytes, and
+    /// room for the rest of a frame whose length prefix has arrived.
+    /// The unframed tail slides to the front only when the space behind
+    /// it is short, and the buffer at most doubles per call, so a bogus
+    /// length cannot allocate far past the bytes actually received.
+    fn spare(&mut self) -> &mut [u8] {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        let pending = self.end - self.start;
+        let frame_rest = if pending >= 4 {
+            let len = u32::from_le_bytes(self.data[self.start..self.start + 4].try_into().unwrap());
+            (4 + len as usize).saturating_sub(pending)
+        } else {
+            0
+        };
+        let want = frame_rest.clamp(READ_MIN, self.data.len().max(READ_MIN));
+        if self.data.len() - self.end < want {
+            self.data.copy_within(self.start..self.end, 0);
+            self.start = 0;
+            self.end = pending;
+            if self.data.len() - self.end < want {
+                self.data.resize(self.end + want, 0);
+            }
+        }
+        &mut self.data[self.end..]
+    }
 }
 
 /// Everything the event loop shares with the transport facade.
@@ -635,15 +893,11 @@ fn install_stream(
     if let Some(old) = tx.stream.take() {
         let _ = old.shutdown(Shutdown::Both);
     }
-    if tx.acked < peer_delivered {
-        tx.acked = peer_delivered;
-    }
-    while tx.window.front().is_some_and(|(seq, _)| *seq <= peer_delivered) {
-        tx.window.pop_front();
-    }
+    link.peer_acked.fetch_max(peer_delivered, Ordering::AcqRel);
+    link.absorb_acks(&mut tx, now);
     let mut replayed = 0u64;
     for (_, frame) in tx.window.iter() {
-        write_frame(&mut write_half, frame)?;
+        write_all(&mut write_half, frame)?;
         replayed += 1;
     }
     if let Some(torn) = tx.torn_at.take() {
@@ -656,18 +910,11 @@ fn install_stream(
     tx.stream = Some(write_half);
     tx.attempts_made = 0;
     tx.down = false;
-    tx.last_heard = now;
     tx.last_hb = now;
-    tx.misses_counted = 0;
     tx.last_progress = now;
+    link.mark_heard(now);
     let generation = link.generation.fetch_add(1, Ordering::AcqRel) + 1;
-    readers.push(Reader {
-        link: Arc::clone(link),
-        generation,
-        stream,
-        buf: Vec::new(),
-        open: true,
-    });
+    readers.push(Reader::new(Arc::clone(link), generation, stream));
     Ok(())
 }
 
@@ -716,23 +963,21 @@ fn declare_down(link: &Link, tx: &mut Tx, attempts: u32) -> bool {
 }
 
 /// Handle every complete frame in `reader.buf`. Returns false when the
-/// stream must be torn (protocol error after a clean CRC).
+/// stream must be torn (protocol error after a clean CRC). Never waits
+/// for the link's tx lock: a rank thread may hold it while it spins on
+/// a full socket that only this loop drains.
 fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
     let link = &reader.link;
-    let mut pos = 0;
+    let buf = &mut reader.buf;
     let mut healthy = true;
-    while reader.buf.len() - pos >= 4 {
-        let len = u32::from_le_bytes(reader.buf[pos..pos + 4].try_into().unwrap()) as usize;
-        if reader.buf.len() - pos < 4 + len {
+    while buf.end - buf.start >= 4 {
+        let pos = buf.start;
+        let len = u32::from_le_bytes(buf.data[pos..pos + 4].try_into().unwrap()) as usize;
+        if buf.end - pos < 4 + len {
             break;
         }
-        let frame = &reader.buf[pos + 4..pos + 4 + len];
-        pos += 4 + len;
-        {
-            let mut tx = link.tx.lock();
-            tx.last_heard = Instant::now();
-            tx.misses_counted = 0;
-        }
+        let frame = &buf.data[pos + 4..pos + 4 + len];
+        buf.start = pos + 4 + len;
         match frame.first().copied() {
             Some(TAG_MSG) if frame.len() >= 13 => {
                 let seq = u64::from_le_bytes(frame[1..9].try_into().unwrap());
@@ -773,12 +1018,11 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
             }
             Some(TAG_HB) if frame.len() == 9 => {
                 let ack = u64::from_le_bytes(frame[1..9].try_into().unwrap());
-                let mut tx = link.tx.lock();
-                if ack > tx.acked {
-                    tx.acked = ack;
-                    tx.last_progress = Instant::now();
-                    while tx.window.front().is_some_and(|(seq, _)| *seq <= ack) {
-                        tx.window.pop_front();
+                if link.peer_acked.fetch_max(ack, Ordering::AcqRel) < ack {
+                    // Prune now if the lock is free; otherwise the next
+                    // holder (a send or this loop's tending) does it.
+                    if let Some(mut tx) = link.tx.try_lock() {
+                        link.absorb_acks(&mut tx, Instant::now());
                     }
                 }
             }
@@ -792,8 +1036,29 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
             }
         }
     }
-    reader.buf.drain(..pos);
     healthy
+}
+
+/// Cumulative ack, sent as soon as a sweep has delivered frames the
+/// peer has not yet heard acknowledged, instead of waiting up to a
+/// heartbeat period: the peer's send window then holds only frames in
+/// flight. Muted links stay silent. This runs on the event loop, so it
+/// never spins: a busy tx lock or a full socket defers it to the next
+/// sweep (the periodic heartbeat covers it too), and a short write
+/// tears the link for replay to heal.
+fn send_prompt_ack(link: &Link, stopping: bool) {
+    if link.last_delivered.load(Ordering::Acquire) <= link.ack_sent.load(Ordering::Relaxed)
+        || link.mute.load(Ordering::Acquire)
+    {
+        return;
+    }
+    let Some(mut tx) = link.tx.try_lock() else {
+        return;
+    };
+    let now = Instant::now();
+    if !link.write_hb(&mut tx, now) && !stopping {
+        link.tear(&mut tx, now);
+    }
 }
 
 /// Accept one reconnect dial on the listener: match it to the torn
@@ -840,7 +1105,9 @@ fn accept_reconnect(
 }
 
 /// Per-link periodic duties: heartbeats, silence accounting, go-back-N
-/// retransmits, reconnect dials, and give-up deadlines.
+/// retransmits, reconnect dials, and give-up deadlines. A link whose tx
+/// lock is busy is tended on a later sweep: its holder may be a rank
+/// thread spinning on a socket that only this loop drains.
 fn tend_link(
     shared: &Arc<Shared>,
     link: &Arc<Link>,
@@ -849,22 +1116,25 @@ fn tend_link(
 ) {
     let knobs = &shared.knobs;
     let now = Instant::now();
-    let mut tx = link.tx.lock();
+    let Some(mut tx) = link.tx.try_lock() else {
+        return;
+    };
     if tx.down {
         return;
     }
     if tx.stream.is_some() {
+        link.absorb_acks(&mut tx, now);
         // Silence accounting: every full heartbeat period without
         // inbound traffic is one miss; enough misses mark the link
         // Suspect and tear it for reconnection.
-        let silent = now.duration_since(tx.last_heard);
+        let silent = link.silence(now);
         let periods = (silent.as_nanos() / knobs.hb_period.as_nanos().max(1)) as u32;
-        if periods > tx.misses_counted {
+        let counted = link.misses_counted.fetch_max(periods, Ordering::Relaxed);
+        if periods > counted {
             shared
                 .stats
                 .heartbeat_misses
-                .fetch_add((periods - tx.misses_counted) as u64, Ordering::Relaxed);
-            tx.misses_counted = periods;
+                .fetch_add((periods - counted) as u64, Ordering::Relaxed);
         }
         if periods >= knobs.hb_misses && !stopping {
             link.tear(&mut tx, now);
@@ -872,34 +1142,24 @@ fn tend_link(
         }
         if now.duration_since(tx.last_hb) >= knobs.hb_period
             && !link.mute.load(Ordering::Acquire)
+            && !link.write_hb(&mut tx, now)
+            && !stopping
         {
-            let hb = encode_hb(link.last_delivered.load(Ordering::Acquire));
-            let mut stream = tx.stream.take().unwrap();
-            let ok = write_frame(&mut stream, &hb).is_ok();
-            tx.stream = Some(stream);
-            tx.last_hb = now;
-            if !ok && !stopping {
-                link.tear(&mut tx, now);
-                return;
-            }
+            link.tear(&mut tx, now);
+            return;
         }
         if !tx.window.is_empty() && now.duration_since(tx.last_progress) > knobs.rto {
-            // Acks stalled: go-back-N replay of everything unacked.
-            let frames: Vec<Vec<u8>> = tx.window.iter().map(|(_, f)| f.clone()).collect();
-            let mut stream = tx.stream.take().unwrap();
-            let mut ok = true;
-            for frame in &frames {
-                if write_frame(&mut stream, frame).is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-            tx.stream = Some(stream);
+            // Acks stalled: go-back-N replay of everything unacked,
+            // straight from the window.
+            let Tx { stream, window, .. } = &mut *tx;
+            let stream = stream.as_mut().expect("checked above");
+            let ok = window.iter().all(|(_, frame)| write_all(stream, frame).is_ok());
+            let replayed = window.len() as u64;
             tx.last_progress = now;
             shared
                 .stats
                 .replayed_frames
-                .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                .fetch_add(replayed, Ordering::Relaxed);
             if !ok && !stopping {
                 link.tear(&mut tx, now);
             }
@@ -1012,7 +1272,6 @@ fn drain_dial_results(
 }
 
 fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec<Reader>) {
-    let mut scratch = vec![0u8; 64 * 1024];
     let mut idle_sweeps = 0u32;
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
@@ -1027,7 +1286,7 @@ fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec
                 continue;
             }
             loop {
-                match reader.stream.read(&mut scratch) {
+                match reader.stream.read(reader.buf.spare()) {
                     Ok(0) => {
                         reader.open = false;
                         if reader.generation == reader.link.generation.load(Ordering::Acquire) {
@@ -1038,7 +1297,8 @@ fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec
                     }
                     Ok(n) => {
                         drained = true;
-                        reader.buf.extend_from_slice(&scratch[..n]);
+                        reader.buf.end += n;
+                        reader.link.mark_heard(Instant::now());
                         if !drain_reader_frames(reader, &registry) {
                             reader.open = false;
                             let mut tx = reader.link.tx.lock();
@@ -1057,6 +1317,9 @@ fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec
                         break;
                     }
                 }
+            }
+            if reader.open {
+                send_prompt_ack(&reader.link, stopping);
             }
         }
         if let Some(listener) = &shared.listener {
@@ -1122,7 +1385,8 @@ impl Transport for TcpTransport {
             .unwrap_or_else(|| {
                 panic!("no tcp link for {} -> {}", route.src_world, route.dst_world)
             });
-        let inner = wire::encode_data(route.comm, route.dst_local, &env);
+        let mut frame = wire::encode_data_after(MSG_HEADROOM, route.comm, route.dst_local, &env);
+        seal_msg(&mut frame);
         // Chaos counts exactly the first transmission of each data
         // frame; retransmits, heartbeats, and handshakes are invisible
         // to it, which keeps the ledger identical across backends.
@@ -1145,38 +1409,34 @@ impl Transport for TcpTransport {
             // their error from the collective layer, not a panic here.
             return;
         }
-        let seq = tx.next_seq;
-        tx.next_seq += 1;
-        let msg = encode_msg(seq, &inner);
-        if tx.window.is_empty() {
-            tx.last_progress = Instant::now();
-        }
-        tx.window.push_back((seq, msg.clone()));
+        let now = Instant::now();
+        link.absorb_acks(&mut tx, now);
+        tx.push(frame);
         if fate.partitioned {
             // Sever the pair now; the frame stays in the window and
             // replays after the reconnect.
-            link.tear(&mut tx, Instant::now());
+            link.tear(&mut tx, now);
             return;
         }
-        if !fate.deliver || tx.stream.is_none() {
+        let Tx { stream, window, .. } = &mut *tx;
+        let Some(stream) = stream.as_mut().filter(|_| fate.deliver) else {
             // Dropped on the wire (or already torn): the window plus
             // the go-back-N timer will deliver it eventually.
             return;
-        }
-        let mut stream = tx.stream.take().unwrap();
-        let result = if fate.corrupt {
-            write_frame(&mut stream, &corrupt_copy(&msg))
-        } else if fate.duplicate {
-            write_frame(&mut stream, &msg).and_then(|()| write_frame(&mut stream, &msg))
-        } else {
-            write_frame(&mut stream, &msg)
         };
-        tx.stream = Some(stream);
+        let frame = &window.back().expect("just pushed").1;
+        let result = if fate.corrupt {
+            write_frame(stream, &corrupt_copy(&frame[4..]))
+        } else if fate.duplicate {
+            write_all(stream, frame).and_then(|()| write_all(stream, frame))
+        } else {
+            write_all(stream, frame)
+        };
         if result.is_err() {
             // The socket died mid-write: tear and let the reconnect
             // path (backed by the window) heal or declare the peer
             // dead. No panic, no immediate failure mark.
-            link.tear(&mut tx, Instant::now());
+            link.tear(&mut tx, now);
         }
     }
 
@@ -1186,23 +1446,19 @@ impl Transport for TcpTransport {
         if self.shared.local.len() != 1 {
             return;
         }
-        let inner = wire::encode_ctrl(ctrl);
+        let mut frame = vec![0u8; MSG_HEADROOM];
+        frame.extend_from_slice(&wire::encode_ctrl(ctrl));
+        seal_msg(&mut frame);
         for link in self.shared.links.values() {
             let mut tx = link.tx.lock();
             if tx.down {
                 continue;
             }
-            let seq = tx.next_seq;
-            tx.next_seq += 1;
-            let msg = encode_msg(seq, &inner);
-            if tx.window.is_empty() {
-                tx.last_progress = Instant::now();
-            }
-            tx.window.push_back((seq, msg.clone()));
-            if let Some(mut stream) = tx.stream.take() {
-                let ok = write_frame(&mut stream, &msg).is_ok();
-                tx.stream = Some(stream);
-                if !ok {
+            tx.push(frame.clone());
+            let Tx { stream, window, .. } = &mut *tx;
+            if let Some(stream) = stream.as_mut() {
+                let frame = &window.back().expect("just pushed").1;
+                if write_all(stream, frame).is_err() {
                     link.tear(&mut tx, Instant::now());
                 }
             }
@@ -1260,6 +1516,76 @@ mod tests {
             .recv_matching_timeout(rank, usize::MAX, tag, Duration::from_secs(10))
             .unwrap_or_else(|e| panic!("rank {rank} waiting for tag {tag}: {e}"))
             .into_data::<u64>()
+    }
+
+    /// The unprefixed MSG frame the send path seals around `inner`.
+    fn encode_msg(seq: u64, inner: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0u8; MSG_HEADROOM];
+        frame.extend_from_slice(inner);
+        seal_msg(&mut frame);
+        frame[5..13].copy_from_slice(&seq.to_le_bytes());
+        frame.split_off(4)
+    }
+
+    /// Bit-at-a-time CRC-32 straight from the polynomial: an oracle
+    /// that shares no code with the table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dispatched_crc32_matches_the_byte_table() {
+        let data = noise(262_144 + 67 + 2);
+        let lengths = (0..300).chain([4095, 4096, 65_536, 262_144 + 67]);
+        for len in lengths {
+            for off in 0..3 {
+                let bytes = &data[off..off + len];
+                assert_eq!(crc32(bytes), crc32_bytes(bytes), "len {len} offset {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn byte_table_fallback_matches_the_polynomial() {
+        assert_eq!(crc32_bytes(b"123456789"), 0xCBF4_3926);
+        let data = noise(1000);
+        for len in [0, 1, 15, 16, 63, 64, 65, 999] {
+            assert_eq!(crc32_bytes(&data[..len]), crc32_bitwise(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sealed_frames_carry_length_tag_seq_and_crc() {
+        let inner = noise(100);
+        let mut frame = vec![0u8; MSG_HEADROOM];
+        frame.extend_from_slice(&inner);
+        seal_msg(&mut frame);
+        assert_eq!(u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize, 13 + inner.len());
+        assert_eq!(frame[4], TAG_MSG);
+        assert_eq!(frame[13..17], crc32(&inner).to_le_bytes());
+        assert_eq!(frame[17..], inner[..]);
+        let hb = encode_hb(0x0102);
+        assert_eq!(hb[..5], [9, 0, 0, 0, TAG_HB]);
+        assert_eq!(u64::from_le_bytes(hb[5..].try_into().unwrap()), 0x0102);
     }
 
     #[test]
@@ -1390,6 +1716,91 @@ mod tests {
         // The healed link still carries traffic.
         t.deliver(&registry, route(0, 1), Envelope::new(0, 3, vec![42u64]));
         assert_eq!(recv_u64(&registry, 1, 3), vec![42]);
+        t.shutdown();
+    }
+
+    /// Heartbeats ten seconds apart: only prompt acks can move windows.
+    fn slow_heartbeat_config() -> CommConfig {
+        CommConfig {
+            heartbeat_period: Duration::from_secs(10),
+            ..CommConfig::default()
+        }
+    }
+
+    fn window_len(t: &TcpTransport, owner: usize, peer: usize) -> usize {
+        t.shared.links[&(owner, peer)].tx.lock().window.len()
+    }
+
+    fn await_empty_windows(t: &TcpTransport, within: Duration) {
+        let deadline = Instant::now() + within;
+        loop {
+            let lens: Vec<usize> = [(0, 1), (1, 0)].iter().map(|&(o, p)| window_len(t, o, p)).collect();
+            if lens.iter().all(|&n| n == 0) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "windows still hold {lens:?} frames after {within:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn prompt_acks_drain_every_window_between_heartbeats() {
+        let registry = Arc::new(Registry::new());
+        let t = TcpTransport::loopback(2, &slow_heartbeat_config(), None).unwrap();
+        t.attach(&registry);
+        let block = vec![7u64; 256 * 1024 / 8];
+        for i in 0..32u64 {
+            t.deliver(&registry, route(0, 1), Envelope::new(0, 100 + i, block.clone()));
+            t.deliver(&registry, route(1, 0), Envelope::new(1, 100 + i, block.clone()));
+        }
+        await_empty_windows(&t, Duration::from_secs(1));
+        for i in 0..32u64 {
+            assert_eq!(recv_u64(&registry, 1, 100 + i), block);
+            assert_eq!(recv_u64(&registry, 0, 100 + i), block);
+        }
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_muted_link_sends_no_prompt_acks() {
+        let registry = Arc::new(Registry::new());
+        let t = TcpTransport::loopback(2, &slow_heartbeat_config(), None).unwrap();
+        t.shared.links[&(1, 0)].mute.store(true, Ordering::Release);
+        t.attach(&registry);
+        let heard = t.shared.links[&(0, 1)].last_heard_ns.load(Ordering::Relaxed);
+        for i in 0..4u64 {
+            t.deliver(&registry, route(0, 1), Envelope::new(0, 60 + i, vec![i]));
+        }
+        for i in 0..4u64 {
+            assert_eq!(recv_u64(&registry, 1, 60 + i), vec![i]);
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        // Rank 1 delivered everything but, muted, told rank 0 nothing:
+        // rank 0 still hears silence and still holds the whole window.
+        assert_eq!(window_len(&t, 0, 1), 4);
+        assert_eq!(t.shared.links[&(0, 1)].last_heard_ns.load(Ordering::Relaxed), heard);
+        t.shutdown();
+    }
+
+    #[test]
+    fn the_receive_path_never_waits_for_the_tx_lock() {
+        let registry = Arc::new(Registry::new());
+        let t = TcpTransport::loopback(2, &slow_heartbeat_config(), None).unwrap();
+        t.attach(&registry);
+        // Hold rank 1's tx lock, as a rank thread stuck in a write on a
+        // full socket would: frames toward rank 1 must still land.
+        let held = t.shared.links[&(1, 0)].tx.lock();
+        for i in 0..4u64 {
+            t.deliver(&registry, route(0, 1), Envelope::new(0, 80 + i, vec![i]));
+        }
+        for i in 0..4u64 {
+            assert_eq!(recv_u64(&registry, 1, 80 + i), vec![i]);
+        }
+        // The ack needs that lock, so it waits; it goes out once free.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(window_len(&t, 0, 1), 4);
+        drop(held);
+        await_empty_windows(&t, Duration::from_secs(1));
         t.shutdown();
     }
 

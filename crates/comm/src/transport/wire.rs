@@ -78,6 +78,12 @@ const CTRL_BYE: u8 = 3;
 /// (drop glue) — the same class of fatal protocol error as an MPI
 /// datatype mismatch.
 pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
+    encode_data_after(0, comm, dst_local, env)
+}
+
+/// [`encode_data`] behind `headroom` zero bytes, so a stream layer can
+/// seal its own header in front of the frame without copying it again.
+pub fn encode_data_after(headroom: usize, comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
     let payload = env.wire_view().unwrap_or_else(|| {
         panic!(
             "payload type `{}` cannot cross a wire transport (it has drop \
@@ -87,7 +93,8 @@ pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
     });
     let name = env.type_name.as_bytes();
     assert!(name.len() <= u16::MAX as usize, "absurd type name length");
-    let mut out = Vec::with_capacity(51 + name.len() + payload.len());
+    let mut out = Vec::with_capacity(headroom + 51 + name.len() + payload.len());
+    out.resize(headroom, 0);
     out.push(KIND_DATA);
     out.extend_from_slice(&comm.to_le_bytes());
     out.extend_from_slice(&(dst_local as u32).to_le_bytes());
@@ -263,6 +270,15 @@ mod tests {
             }
             other => panic!("wrong frame: {other:?}"),
         }
+    }
+
+    #[test]
+    fn headroom_precedes_an_identical_frame() {
+        let env = Envelope::new(1, 2, vec![5u32, 6]);
+        let plain = encode_data(3, 4, &env);
+        let roomy = encode_data_after(17, 3, 4, &env);
+        assert_eq!(roomy[..17], [0u8; 17]);
+        assert_eq!(roomy[17..], plain[..]);
     }
 
     #[test]
