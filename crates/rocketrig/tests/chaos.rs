@@ -97,11 +97,16 @@ fn wire_chaos_survives_two_real_processes() {
     // expensive reference run on the parent-only path below.
     let plan = FaultPlan::parse(CHAOS, 0xC4A05).expect("static plan");
     let cfg = config();
+    // The child shares this harness's stdout and exits mid-test, so its
+    // harness runs `--quiet`: it prints only whole lines, never an
+    // unterminated `test ... ` prefix in front of this harness's result
+    // lines.
     let args = [
         "wire_chaos_survives_two_real_processes",
         "--exact",
         "--nocapture",
         "--test-threads=1",
+        "--quiet",
     ];
     let ((log, stats), killed) =
         proc::spmd_with(2, TransportKind::Tcp, &args, Some(&plan), move |comm| {
